@@ -858,82 +858,6 @@ pub fn serving(cfg: &RunConfig) {
     }
     rebuild.print();
     let _ = rebuild.write_csv(&cfg.out_dir, "serving_rebuild");
-
-    // Coalescing: concurrent single-probe submitters route through the
-    // grafite-server combining batcher, so overlapping submissions merge
-    // into one sorted store batch. The coalescing factor (probes per
-    // executed batch) and the tail of the per-submit latency are the two
-    // numbers an operator watches.
-    let mut coalescing = Table::new(&[
-        "filter",
-        "threads",
-        "probes",
-        "Mq/s",
-        "coalescing_factor",
-        "p50_us",
-        "p99_us",
-    ]);
-    for family in families {
-        let config = StoreConfig::new(family)
-            .bits_per_key(16.0)
-            .max_range(l)
-            .seed(cfg.seed)
-            .partitioning(Partitioning::Range { shards });
-        let store = match FilterStore::build(registry, config, &keys) {
-            Ok(s) => std::sync::Arc::new(s),
-            Err(e) => {
-                eprintln!("  [skip] {}: {e}", family.label());
-                continue;
-            }
-        };
-        for threads in [1usize, 2, 4, 8] {
-            let telemetry = std::sync::Arc::new(grafite_server::Telemetry::new(shards));
-            let batcher = grafite_server::Batcher::new(
-                std::sync::Arc::clone(&store),
-                std::sync::Arc::clone(&telemetry),
-            );
-            let per_thread = (cfg.queries / threads).max(1);
-            let start = std::time::Instant::now();
-            let mut latencies_us: Vec<u64> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let batcher = &batcher;
-                        let queries = &queries;
-                        scope.spawn(move || {
-                            let mut lat = Vec::with_capacity(per_thread);
-                            for q in queries.iter().cycle().skip(t * 131).take(per_thread) {
-                                let t0 = std::time::Instant::now();
-                                std::hint::black_box(batcher.submit(std::slice::from_ref(q)));
-                                lat.push(t0.elapsed().as_micros() as u64);
-                            }
-                            lat
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("submitter thread"))
-                    .collect()
-            });
-            let secs = start.elapsed().as_secs_f64();
-            latencies_us.sort_unstable();
-            let quantile = |num: usize| -> u64 {
-                let rank = (latencies_us.len() * num).div_ceil(100).max(1);
-                latencies_us[rank - 1]
-            };
-            coalescing.row(vec![
-                family.label().to_string(),
-                threads.to_string(),
-                latencies_us.len().to_string(),
-                format!("{:.3}", latencies_us.len() as f64 / secs / 1e6),
-                format!("{:.2}", telemetry.coalescing_factor()),
-                quantile(50).to_string(),
-                quantile(99).to_string(),
-            ]);
-        }
-    }
-    coalescing.print();
-    let _ = coalescing.write_csv(&cfg.out_dir, "serving_coalescing");
 }
 
 /// The serving cold-start experiment behind `results/BENCH_serve.json`:

@@ -7,17 +7,20 @@
 //! with three properties the paper's static benchmark setting doesn't
 //! need but a deployment does:
 //!
-//! * **Request coalescing** ([`Batcher`]): probes arriving concurrently on
-//!   different connections merge into one store batch, so Grafite's
-//!   one-pass sorted probe amortizes across clients.
+//! * **One serving path**: each `QUERY` / `BATCH_QUERY` frame takes one
+//!   store [`Snapshot`](grafite_store::Snapshot) and is answered and
+//!   audited on it, lock-free. `BATCH_QUERY` is the coalescing a client
+//!   asks for explicitly: its probes run through the store's sorted batch
+//!   path, so Grafite's one-pass probe amortizes across the batch.
 //! * **Mapped cold starts and hot reloads**: the binary serves a saved
 //!   manifest through [`FilterStore::open_mapped`] — `O(shards)` small
 //!   reads, shards materialize on first probe — and `RELOAD` swaps in a
 //!   new manifest atomically without failing one in-flight query.
 //! * **Operational telemetry** ([`Telemetry`]): per-verb counts and
-//!   latency histograms, per-shard traffic, batch-coalescing factor,
-//!   rebuild durations, and an observed-FP estimator fed by retained-key
-//!   refutation — all plain atomics, exported as JSON over `STATS`.
+//!   latency histograms, per-shard traffic, rebuild and shard-build
+//!   durations, and an observed-FP estimator fed by retained-key
+//!   refutation on the routed shards — all plain atomics, exported as JSON
+//!   over `STATS`.
 //!
 //! [`FilterStore::open_mapped`]: grafite_store::FilterStore::open_mapped
 //!
@@ -43,14 +46,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod client;
 pub mod protocol;
 pub mod server;
 pub mod telemetry;
 
-pub use batch::Batcher;
 pub use client::{ApplySummary, Client};
+pub use grafite_store::Histogram;
 pub use protocol::{Frame, ProtocolError, MAX_FRAME};
 pub use server::{serve, ServerHandle};
-pub use telemetry::{Histogram, Telemetry};
+pub use telemetry::Telemetry;

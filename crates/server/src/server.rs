@@ -2,13 +2,15 @@
 //! an acceptor) speaking the [`crate::protocol`] frame protocol over a
 //! shared [`FilterStore`].
 //!
-//! Single probes and batches both route through the [`Batcher`], so
-//! concurrent load coalesces into the store's sorted batch path. `RELOAD`
-//! swaps manifests atomically under the store's writer lock: in-flight
-//! queries finish on the snapshot they already hold, and not one of them
-//! fails or blocks during the swap. Positive answers are spot-checked
-//! against the snapshot's retained keys to feed the observed-FP estimator
-//! in [`Telemetry`].
+//! Each `QUERY` or `BATCH_QUERY` frame takes one [`Snapshot`] and is both
+//! answered and audited on it: `QUERY` through
+//! [`Snapshot::may_contain_range`], `BATCH_QUERY` through
+//! [`Snapshot::query_ranges`] (which already drops adjacent duplicate
+//! probes), and every positive is checked against the retained keys of
+//! the shards the probe was routed to, feeding the observed-FP estimator
+//! in [`Telemetry`]. `RELOAD` swaps manifests atomically under the store's
+//! writer lock: in-flight queries finish on the snapshot they already
+//! hold, and not one of them fails or blocks during the swap.
 
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -20,7 +22,6 @@ use std::time::{Duration, Instant};
 
 use grafite_store::{FilterStore, Snapshot, Update};
 
-use crate::batch::Batcher;
 use crate::protocol::{self, verb, Frame, ProtocolError};
 use crate::telemetry::Telemetry;
 
@@ -90,7 +91,6 @@ impl ServerHandle {
 /// Everything the connection handlers share.
 struct Shared {
     store: Arc<FilterStore>,
-    batcher: Batcher,
     telemetry: Arc<Telemetry>,
     stop: Arc<AtomicBool>,
     /// The manifest path served at startup; an empty-payload `RELOAD`
@@ -111,7 +111,6 @@ pub fn serve(
     let telemetry = Arc::new(Telemetry::new(store.snapshot().num_shards()));
     let stop = Arc::new(AtomicBool::new(false));
     let shared = Arc::new(Shared {
-        batcher: Batcher::new(Arc::clone(&store), Arc::clone(&telemetry)),
         store: Arc::clone(&store),
         telemetry: Arc::clone(&telemetry),
         stop: Arc::clone(&stop),
@@ -249,15 +248,17 @@ fn dispatch(frame: &Frame, shared: &Shared) -> Result<Reply, String> {
     match frame.verb {
         verb::QUERY => {
             let (a, b) = protocol::decode_query(&frame.payload).map_err(|e| e.to_string())?;
-            let hit = answer_probes(shared, &[(a, b)])
-                .first()
-                .copied()
-                .unwrap_or(false);
+            let snap = shared.store.snapshot();
+            let hit = snap.may_contain_range(a, b);
+            audit(&shared.telemetry, &snap, &[(a, b)], &[hit]);
             Ok(Reply::Payload(vec![u8::from(hit)]))
         }
         verb::BATCH_QUERY => {
             let queries = protocol::decode_batch(&frame.payload).map_err(|e| e.to_string())?;
-            let answers = answer_probes(shared, &queries);
+            let snap = shared.store.snapshot();
+            let mut answers = Vec::new();
+            snap.query_ranges(&queries, &mut answers);
+            audit(&shared.telemetry, &snap, &queries, &answers);
             Ok(Reply::Payload(
                 answers.iter().map(|&h| u8::from(h)).collect(),
             ))
@@ -311,32 +312,22 @@ fn dispatch(frame: &Frame, shared: &Shared) -> Result<Reply, String> {
     }
 }
 
-/// Answers probes through the batcher and feeds the telemetry: per-shard
-/// probe counts, and retained-key refutation of positive answers (the
-/// observed-FP estimator). Refutation is exact — the snapshot retains
-/// every key — so `refuted == answered true but no key in range`.
-fn answer_probes(shared: &Shared, queries: &[(u64, u64)]) -> Vec<bool> {
-    let snap = shared.store.snapshot();
-    for &(a, _b) in queries {
-        shared
-            .telemetry
-            .record_shard_probe(snap.routing().shard_of(a));
-    }
-    let answers = shared.batcher.submit(queries);
-    for (&(a, b), &hit) in queries.iter().zip(&answers) {
+/// Feeds the telemetry from one frame's answers, on the snapshot that gave
+/// them: each probe credits every shard it was routed to, and each positive
+/// is checked against those shards' retained keys (the observed-FP
+/// estimator). Refutation is exact — the snapshot retains every key — so
+/// `refuted == answered true but no key in range`. A positive that only a
+/// degraded, pass-all shard could explain is not audited: that shard has
+/// no keys to check against.
+fn audit(telemetry: &Telemetry, snap: &Snapshot, queries: &[(u64, u64)], answers: &[bool]) {
+    for (&(a, b), &hit) in queries.iter().zip(answers) {
+        for (shard, _) in snap.targets(a, b) {
+            telemetry.record_shard_probe(shard);
+        }
         if hit {
-            shared.telemetry.record_positive(!truth(&snap, a, b));
+            if let Some(held) = snap.has_key_in(a, b) {
+                telemetry.record_positive(!held);
+            }
         }
     }
-    answers
-}
-
-/// Ground truth from the snapshot's retained keys: does any shard hold a
-/// key in `[a, b]`?
-fn truth(snap: &Snapshot, a: u64, b: u64) -> bool {
-    snap.shards().iter().any(|shard| {
-        let keys = shard.keys();
-        let at = keys.partition_point(|&k| k < a);
-        keys.get(at).is_some_and(|&k| k <= b)
-    })
 }

@@ -6,8 +6,7 @@
 //!
 //! * per-verb request counts, error counts, and log₂-bucketed latency
 //!   histograms (approximate p50/p99 in microseconds),
-//! * per-shard probe counts (which shards the routing sends traffic to),
-//! * batch coalescing: how many probes each executed batch carried,
+//! * per-shard probe counts (every shard the routing sends a probe to),
 //! * rebuild (apply) durations,
 //! * an observed-false-positive estimator: every positive answer the
 //!   server can refute against the snapshot's retained keys counts as a
@@ -17,7 +16,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use grafite_store::FilterStore;
+use grafite_store::{FilterStore, Histogram};
 
 /// Relaxed monotonic add — every counter in this module goes through here.
 fn add(counter: &AtomicU64, n: u64) {
@@ -31,70 +30,6 @@ fn get(counter: &AtomicU64) -> u64 {
     // ordering: Relaxed-counter; statistical snapshot read — slight
     // tearing across counters is acceptable for telemetry.
     counter.load(Ordering::Relaxed)
-}
-
-/// A log₂-bucketed streaming histogram of `u64` samples: bucket `i` holds
-/// samples whose bit length is `i` (value 0 lands in bucket 0). Quantiles
-/// come back as the upper bound of the bucket the rank falls in — within
-/// 2× of the true value, which is all a latency dashboard needs.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; 64],
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-impl Histogram {
-    /// Records one sample.
-    pub fn record(&self, value: u64) {
-        let idx = (64 - value.leading_zeros() as usize).min(63);
-        if let Some(bucket) = self.buckets.get(idx) {
-            add(bucket, 1);
-        }
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(get).sum()
-    }
-
-    /// The approximate `num/den` quantile: the upper bound of the bucket
-    /// holding that rank (0 when empty).
-    pub fn quantile(&self, num: u64, den: u64) -> u64 {
-        let total = self.count();
-        if total == 0 || den == 0 {
-            return 0;
-        }
-        let rank = (total as u128)
-            .saturating_mul(num as u128)
-            .div_ceil(den as u128)
-            .max(1) as u64;
-        let mut seen = 0u64;
-        for (idx, bucket) in self.buckets.iter().enumerate() {
-            seen = seen.saturating_add(get(bucket));
-            if seen >= rank {
-                return upper_bound(idx);
-            }
-        }
-        upper_bound(63)
-    }
-}
-
-/// The largest value bucket `idx` can hold.
-fn upper_bound(idx: usize) -> u64 {
-    if idx == 0 {
-        0
-    } else if idx >= 63 {
-        u64::MAX
-    } else {
-        (1u64 << idx) - 1
-    }
 }
 
 /// Labels for the six request verbs, indexed by `verb - 1`.
@@ -139,9 +74,6 @@ pub struct Telemetry {
     started: Instant,
     verbs: [VerbStats; 6],
     shard_probes: Vec<AtomicU64>,
-    batches: AtomicU64,
-    batched_probes: AtomicU64,
-    dedup_hits: AtomicU64,
     positives: AtomicU64,
     refuted: AtomicU64,
     rebuild_us: Histogram,
@@ -158,9 +90,6 @@ impl Telemetry {
             started: Instant::now(),
             verbs: Default::default(),
             shard_probes: (0..num_shards).map(|_| AtomicU64::new(0)).collect(),
-            batches: AtomicU64::new(0),
-            batched_probes: AtomicU64::new(0),
-            dedup_hits: AtomicU64::new(0),
             positives: AtomicU64::new(0),
             refuted: AtomicU64::new(0),
             rebuild_us: Histogram::default(),
@@ -205,24 +134,6 @@ impl Telemetry {
         }
     }
 
-    /// Records one executed batch carrying `probes` coalesced probes.
-    pub fn record_batch(&self, probes: u64) {
-        add(&self.batches, 1);
-        add(&self.batched_probes, probes);
-    }
-
-    /// Records `n` probes the batcher answered from an adjacent duplicate
-    /// instead of probing the store.
-    pub fn record_dedup_hits(&self, n: u64) {
-        add(&self.dedup_hits, n);
-    }
-
-    /// Probes answered by adjacent-duplicate reuse rather than a store
-    /// probe.
-    pub fn dedup_hits(&self) -> u64 {
-        get(&self.dedup_hits)
-    }
-
     /// Records one positive answer and whether the retained-key check
     /// refuted it (refuted = confirmed false positive).
     pub fn record_positive(&self, refuted: bool) {
@@ -245,16 +156,6 @@ impl Telemetry {
             .map(VerbStats::errors)
             .sum::<u64>()
             .saturating_add(get(&self.bad_frames))
-    }
-
-    /// The mean number of probes per executed batch (the coalescing
-    /// factor; 0.0 before the first batch).
-    pub fn coalescing_factor(&self) -> f64 {
-        let batches = get(&self.batches);
-        if batches == 0 {
-            return 0.0;
-        }
-        get(&self.batched_probes) as f64 / batches as f64
     }
 
     /// The observed false-positive rate: refuted positives over all
@@ -303,14 +204,6 @@ pub fn render_json(t: &Telemetry, store: &FilterStore) -> String {
     out.push_str("},");
     push_kv(&mut out, "bad_frames", &format!("{}", get(&t.bad_frames)));
     push_kv(&mut out, "total_errors", &format!("{}", t.total_errors()));
-    out.push_str("\"batch\":{");
-    out.push_str(&format!(
-        "\"batches\":{},\"probes\":{},\"dedup_hits\":{},\"coalescing_factor\":{:.3}}},",
-        get(&t.batches),
-        get(&t.batched_probes),
-        get(&t.dedup_hits),
-        t.coalescing_factor(),
-    ));
     out.push_str("\"shard_probes\":[");
     for (idx, slot) in t.shard_probes.iter().enumerate() {
         if idx > 0 {
@@ -342,19 +235,15 @@ pub fn render_json(t: &Telemetry, store: &FilterStore) -> String {
         stats.is_degraded(),
     ));
     // Construction parallelism: worker threads of the last build/rebuild
-    // fan-out plus the per-shard build wall-time histogram (log2 buckets,
-    // microseconds — bucket i counts builds in [2^i, 2^(i+1)) µs).
+    // fan-out, and the per-shard build wall times.
+    let builds = stats.shard_build_us();
     out.push_str(&format!(
-        "\"rebuild_workers\":{},\"shard_build_us_log2\":[",
-        stats.rebuild_workers()
+        "\"rebuild_workers\":{},\"shard_build_us\":{{\"count\":{},\"p50\":{},\"p99\":{}}}}}",
+        stats.rebuild_workers(),
+        builds.count(),
+        builds.quantile(1, 2),
+        builds.quantile(99, 100),
     ));
-    for (idx, count) in stats.shard_build_histogram().iter().enumerate() {
-        if idx > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{count}"));
-    }
-    out.push_str("]}");
     out.push('}');
     out
 }
@@ -394,16 +283,11 @@ mod tests {
         t.record_request(1, 20);
         t.record_error(1);
         t.record_bad_frame();
-        t.record_batch(8);
-        t.record_batch(2);
-        t.record_dedup_hits(3);
-        assert_eq!(t.dedup_hits(), 3);
         t.record_positive(true);
         t.record_positive(false);
         t.record_shard_probe(2);
         t.record_shard_probe(99); // out of range: dropped, no panic
         assert_eq!(t.total_errors(), 2);
-        assert!((t.coalescing_factor() - 5.0).abs() < 1e-9);
         assert!((t.observed_fp_rate() - 0.5).abs() < 1e-9);
     }
 }

@@ -1,7 +1,9 @@
 //! End-to-end tests over a live server: bit-identical answers vs the
 //! direct store, atomic hot reload under concurrent readers, APPLY and
-//! STATS round trips, and an exhaustive frame-corruption sweep proving
-//! the server survives arbitrary garbage.
+//! STATS round trips, a probe on a mapped store touching only its routed
+//! shards, a degraded shard kept out of the false-positive audit, and an
+//! exhaustive frame-corruption sweep proving the server survives arbitrary
+//! garbage.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -12,7 +14,7 @@ use std::sync::Arc;
 use grafite_core::registry::{FilterSpec, Registry};
 use grafite_server::protocol::{self, verb};
 use grafite_server::{serve, Client};
-use grafite_store::{FamilySpec, FilterStore, Partitioning, StoreConfig};
+use grafite_store::{FamilySpec, FilterStore, Partitioning, Routing, StoreConfig};
 
 fn test_keys(n: u64, seed: u64) -> Vec<u64> {
     (0..n)
@@ -63,6 +65,24 @@ fn served_answers_are_bit_identical_to_the_direct_store() {
     for &k in keys.iter().step_by(37) {
         assert!(client.query(k, k).unwrap(), "network FN at {k}");
     }
+    // Runs of adjacent duplicate probes, empty and at keys: the store's
+    // batch path answers each run once, and every position still gets its
+    // own answer.
+    let runs: Vec<(u64, u64)> = queries
+        .iter()
+        .take(300)
+        .copied()
+        .chain(keys.iter().take(100).map(|&k| (k, k)))
+        .enumerate()
+        .flat_map(|(i, q)| std::iter::repeat(q).take(1 + i % 4))
+        .collect();
+    let mut want = Vec::new();
+    snap.query_ranges(&runs, &mut want);
+    assert_eq!(
+        client.query_batch(&runs).unwrap(),
+        want,
+        "duplicate-run answers diverged"
+    );
 
     client.shutdown().unwrap();
     handle.join();
@@ -159,7 +179,7 @@ fn reload_under_concurrent_readers_drops_zero_queries() {
 }
 
 #[test]
-fn stats_report_coalescing_and_fp_estimation() {
+fn stats_report_fp_estimation_and_shard_traffic() {
     let keys = test_keys(3000, 4);
     let handle = serve(Arc::new(build_store(&keys, 4)), "127.0.0.1:0", None).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
@@ -175,15 +195,115 @@ fn stats_report_coalescing_and_fp_estimation() {
 
     let stats = client.stats_json().unwrap();
     assert!(stats.contains("\"schema\":\"grafite-server-stats-v1\""));
-    assert!(stats.contains("\"coalescing_factor\":"));
     assert!(stats.contains("\"observed_rate\":"));
-    assert!(stats.contains("\"shard_probes\":["));
-    let telemetry = handle.telemetry();
-    assert!(telemetry.coalescing_factor() >= 1.0);
-    assert_eq!(telemetry.total_errors(), 0);
+    assert_eq!(shard_probes(&stats).iter().sum::<u64>(), 64 + 512);
+    assert!(
+        stats.contains("\"shard_build_us\":{\"count\":4,"),
+        "stats: {stats}"
+    );
+    assert_eq!(handle.telemetry().total_errors(), 0);
 
     client.shutdown().unwrap();
     handle.join();
+}
+
+/// The per-shard probe counts out of a STATS document.
+fn shard_probes(stats: &str) -> Vec<u64> {
+    let tag = "\"shard_probes\":[";
+    let at = stats.find(tag).expect("shard_probes in STATS") + tag.len();
+    let body = &stats[at..at + stats[at..].find(']').expect("array closes")];
+    body.split(',').map(|n| n.parse().unwrap()).collect()
+}
+
+/// On a lazily mapped store, a probe's answer and its audit read only the
+/// shards the routing sends it to: a point probe materializes its one
+/// shard and a range across one boundary materializes both sides, and
+/// each probe is credited to every shard it was routed to.
+#[test]
+fn a_probe_touches_only_its_routed_shards() {
+    let keys = test_keys(8000, 6);
+    let store = build_store(&keys, 8);
+    let routing = store.snapshot().routing().clone();
+    let Routing::Range { starts } = &routing else {
+        panic!("range partitioning gives range routing")
+    };
+    assert_eq!(starts.len(), 8);
+    let path = save_manifest(&store, "lazy");
+    let mapped = FilterStore::open_mapped(&Registry::new(), &path).unwrap();
+    let handle = serve(Arc::new(mapped), "127.0.0.1:0", None).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let loads = || handle.store().stats().lazy_shard_loads();
+    assert_eq!(loads(), 0, "serving materialized shards");
+
+    // A present key in shard 6.
+    let k = *keys.iter().find(|&&k| routing.shard_of(k) == 6).unwrap();
+    assert!(client.query(k, k).unwrap());
+    assert_eq!(loads(), 1, "a point probe materialized other shards");
+
+    // `[boundary - 1, boundary]` spans shards 2 and 3 and holds one key,
+    // the first of shard 3.
+    let boundary = starts[3];
+    assert!(!keys.contains(&(boundary - 1)));
+    assert!(client.query(boundary - 1, boundary).unwrap());
+    assert_eq!(loads(), 3, "a two-shard range materialized other shards");
+
+    let stats = client.stats_json().unwrap();
+    assert_eq!(shard_probes(&stats), [0, 0, 1, 1, 0, 0, 1, 0]);
+    assert!(
+        stats.contains("\"positives\":2,\"refuted\":0,"),
+        "stats: {stats}"
+    );
+
+    client.shutdown().unwrap();
+    handle.join();
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A shard whose blob fails to load serves pass-all and has no keys, so
+/// its positives cannot be audited: they must not count as refuted.
+#[test]
+fn a_degraded_shard_never_counts_as_a_refuted_positive() {
+    let keys = test_keys(3000, 7);
+    let store = build_store(&keys, 4);
+    let bytes = store.to_bytes();
+    let path = save_manifest(&store, "degraded");
+    // The last shard's blob ends the manifest: flip bytes from the end
+    // until one degrades that shard (trailing padding may be unchecked).
+    let degrades_last_shard = |back: usize| {
+        let mut corrupt = bytes.clone();
+        corrupt[bytes.len() - back] ^= 0xA5;
+        std::fs::write(&path, &corrupt).unwrap();
+        FilterStore::open_mapped(&Registry::new(), &path)
+            .is_ok_and(|probe| probe.snapshot().shards()[3].load_error().is_some())
+    };
+    assert!(
+        (1..64).any(degrades_last_shard),
+        "no byte degraded the last shard"
+    );
+    let mapped = FilterStore::open_mapped(&Registry::new(), &path).unwrap();
+    let handle = serve(Arc::new(mapped), "127.0.0.1:0", None).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    // Keys sit below 2^63, so this range is empty; it routes to the last
+    // shard, which answers pass-all.
+    let (a, b) = (u64::MAX - 100, u64::MAX - 1);
+    assert!(
+        client.query(a, b).unwrap(),
+        "a degraded shard must fail open"
+    );
+    // A present key in a healthy shard is still audited.
+    assert!(client.query(keys[0], keys[0]).unwrap());
+
+    let stats = client.stats_json().unwrap();
+    assert!(stats.contains("\"degraded\":true"), "stats: {stats}");
+    assert!(
+        stats.contains("\"positives\":1,\"refuted\":0,"),
+        "stats: {stats}"
+    );
+
+    client.shutdown().unwrap();
+    handle.join();
+    let _ = std::fs::remove_file(&path);
 }
 
 /// Raw-socket corruption sweep: every frame prefix/verb/payload mutation

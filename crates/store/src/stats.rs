@@ -3,18 +3,91 @@
 //! export.
 //!
 //! The counters are deliberately *store-level* facts — lazy shard
-//! materializations, materialization failures, manifest reloads — not
-//! query-path metrics: per-query counting belongs to the server's
-//! telemetry module, where it can be sampled and histogrammed without
-//! taxing the store's lock-free read path.
+//! materializations, materialization failures, manifest reloads, shard
+//! build times — not query-path metrics: per-query counting belongs to the
+//! server's telemetry module, where it can be sampled and histogrammed
+//! without taxing the store's lock-free read path. [`Histogram`] is the one
+//! histogram type both layers record into.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Number of log2 buckets in the per-shard build wall-time histogram:
-/// bucket `i` counts shard builds that took `[2^i, 2^(i+1))` microseconds
-/// (bucket 0 absorbs sub-microsecond builds, the last bucket everything
-/// from ~half a minute up).
-pub const BUILD_HIST_BUCKETS: usize = 16;
+/// Relaxed monotonic add for the histogram buckets.
+fn add(counter: &AtomicU64, n: u64) {
+    // ordering: Relaxed-counter; pure monotonic event counter, nothing
+    // synchronizes on it.
+    counter.fetch_add(n, Ordering::Relaxed);
+}
+
+/// Relaxed bucket read for reporting.
+fn get(counter: &AtomicU64) -> u64 {
+    // ordering: Relaxed-counter; statistical snapshot read — slight
+    // tearing across buckets is acceptable for telemetry.
+    counter.load(Ordering::Relaxed)
+}
+
+/// A log₂-bucketed streaming histogram of `u64` samples: bucket `i` holds
+/// samples whose bit length is `i` (value 0 lands in bucket 0). Quantiles
+/// come back as the upper bound of the bucket the rank falls in — within
+/// 2× of the true value, which is all a latency dashboard needs.
+#[derive(Debug)]
+pub struct Histogram {
+    buckets: [AtomicU64; 64],
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Self {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+}
+
+impl Histogram {
+    /// Records one sample.
+    pub fn record(&self, value: u64) {
+        let idx = (64 - value.leading_zeros() as usize).min(63);
+        if let Some(bucket) = self.buckets.get(idx) {
+            add(bucket, 1);
+        }
+    }
+
+    /// Total samples recorded.
+    pub fn count(&self) -> u64 {
+        self.buckets.iter().map(get).sum()
+    }
+
+    /// The approximate `num/den` quantile: the upper bound of the bucket
+    /// holding that rank (0 when empty).
+    pub fn quantile(&self, num: u64, den: u64) -> u64 {
+        let total = self.count();
+        if total == 0 || den == 0 {
+            return 0;
+        }
+        let rank = (total as u128)
+            .saturating_mul(num as u128)
+            .div_ceil(den as u128)
+            .max(1) as u64;
+        let mut seen = 0u64;
+        for (idx, bucket) in self.buckets.iter().enumerate() {
+            seen = seen.saturating_add(get(bucket));
+            if seen >= rank {
+                return upper_bound(idx);
+            }
+        }
+        upper_bound(63)
+    }
+}
+
+/// The largest value bucket `idx` can hold.
+fn upper_bound(idx: usize) -> u64 {
+    if idx == 0 {
+        0
+    } else if idx >= 63 {
+        u64::MAX
+    } else {
+        (1u64 << idx) - 1
+    }
+}
 
 /// Monotonic counters shared by a [`FilterStore`](crate::FilterStore) and
 /// every lazy shard it hands out. All methods are lock-free and safe to
@@ -32,9 +105,8 @@ pub struct StoreStats {
     /// Worker-thread count of the most recent build or update-batch
     /// rebuild fan-out (0 until the first one).
     rebuild_workers: AtomicU64,
-    /// Per-shard build wall times, log2-bucketed by microsecond (see
-    /// [`BUILD_HIST_BUCKETS`]).
-    shard_build_hist: [AtomicU64; BUILD_HIST_BUCKETS],
+    /// Per-shard build wall times in microseconds.
+    shard_build_us: Histogram,
 }
 
 impl StoreStats {
@@ -106,13 +178,9 @@ impl StoreStats {
         self.rebuild_workers.store(workers, Ordering::Relaxed);
     }
 
-    /// Records one shard build's wall time into the log2 histogram.
+    /// Records one shard build's wall time, given in nanoseconds.
     pub(crate) fn record_shard_build(&self, nanos: u64) {
-        let micros = nanos / 1_000;
-        let bucket = (micros.max(1).ilog2() as usize).min(BUILD_HIST_BUCKETS - 1);
-        // ordering: Relaxed-counter; pure monotonic event counter, nothing
-        // synchronizes on it.
-        self.shard_build_hist[bucket].fetch_add(1, Ordering::Relaxed);
+        self.shard_build_us.record(nanos / 1_000);
     }
 
     /// Worker threads used by the most recent build or update-batch
@@ -124,13 +192,9 @@ impl StoreStats {
         self.rebuild_workers.load(Ordering::Relaxed)
     }
 
-    /// Snapshot of the per-shard build wall-time histogram: entry `i`
-    /// counts builds that took `[2^i, 2^(i+1))` microseconds.
-    pub fn shard_build_histogram(&self) -> [u64; BUILD_HIST_BUCKETS] {
-        // ordering: Relaxed-counter; independent reads for reporting, no
-        // ordering relationship with other memory is implied.
-        let load = |i: usize| self.shard_build_hist[i].load(Ordering::Relaxed);
-        std::array::from_fn(load)
+    /// The per-shard build wall-time histogram, in microseconds.
+    pub fn shard_build_us(&self) -> &Histogram {
+        &self.shard_build_us
     }
 }
 
@@ -157,19 +221,19 @@ mod tests {
     fn rebuild_telemetry_buckets_and_gauge() {
         let stats = StoreStats::default();
         assert_eq!(stats.rebuild_workers(), 0);
-        assert_eq!(stats.shard_build_histogram(), [0; BUILD_HIST_BUCKETS]);
+        assert_eq!(stats.shard_build_us().count(), 0);
         stats.record_rebuild_workers(8);
         stats.record_rebuild_workers(4); // gauge: last write wins
         assert_eq!(stats.rebuild_workers(), 4);
-        stats.record_shard_build(500); // < 1 µs -> bucket 0
-        stats.record_shard_build(3_000); // 3 µs -> bucket 1
-        stats.record_shard_build(1_000_000); // 1 ms -> bucket 9
-        stats.record_shard_build(u64::MAX); // clamps to the last bucket
-        let hist = stats.shard_build_histogram();
-        assert_eq!(hist[0], 1);
-        assert_eq!(hist[1], 1);
-        assert_eq!(hist[9], 1);
-        assert_eq!(hist[BUILD_HIST_BUCKETS - 1], 1);
-        assert_eq!(hist.iter().sum::<u64>(), 4);
+        stats.record_shard_build(500); // < 1 µs -> 0 µs, bucket 0
+        stats.record_shard_build(3_000); // 3 µs -> bucket [2, 3]
+        stats.record_shard_build(1_000_000); // 1000 µs -> bucket [512, 1023]
+        stats.record_shard_build(u64::MAX); // ~1.8e16 µs, the top bucket used
+        let hist = stats.shard_build_us();
+        assert_eq!(hist.count(), 4);
+        assert_eq!(hist.quantile(1, 4), 0);
+        assert_eq!(hist.quantile(2, 4), 3);
+        assert_eq!(hist.quantile(3, 4), 1023);
+        assert_eq!(hist.quantile(4, 4), (1u64 << 55) - 1);
     }
 }

@@ -440,35 +440,37 @@ impl Snapshot {
         &self.shards
     }
 
+    /// The shards the routing maps the closed range `[a, b]` to, each with
+    /// the query clamped to that shard's span: the one routing walk that
+    /// single probes, batches and the retained-key audit share. Range
+    /// routing yields the shards whose intervals `[a, b]` intersects; hash
+    /// routing yields the key's shard for a point and every shard for a
+    /// wider range, which can hold keys of any shard. Reads only the
+    /// routing table, so lazy shards stay unmaterialized.
+    #[inline]
+    pub fn targets(&self, a: u64, b: u64) -> impl Iterator<Item = (usize, (u64, u64))> + '_ {
+        let shards = match &self.routing {
+            Routing::Range { .. } => self.routing.shard_of(a)..self.routing.shard_of(b) + 1,
+            Routing::Hash { .. } if a == b => {
+                let s = self.routing.shard_of(a);
+                s..s + 1
+            }
+            Routing::Hash { .. } => 0..self.shards.len(),
+        };
+        shards.map(move |s| {
+            let (lo, hi) = self.routing.shard_span(s);
+            (s, (a.max(lo), b.min(hi)))
+        })
+    }
+
     /// Whether the closed range `[a, b]` may contain a key, ORed across the
     /// shards the routing maps it to. Requires `a <= b` (debug-asserted,
     /// per the [`RangeFilter`] contract).
     #[must_use = "a range filter's answer is its only effect; dropping it means the query was wasted"]
     pub fn may_contain_range(&self, a: u64, b: u64) -> bool {
         debug_assert!(a <= b, "inverted range [{a}, {b}]");
-        match &self.routing {
-            Routing::Range { .. } => {
-                let (sa, sb) = (self.routing.shard_of(a), self.routing.shard_of(b));
-                (sa..=sb).any(|s| {
-                    let (lo, hi) = self.routing.shard_span(s);
-                    self.shards[s]
-                        .filter()
-                        .may_contain_range(a.max(lo), b.min(hi))
-                })
-            }
-            Routing::Hash { .. } => {
-                if a == b {
-                    self.shards[self.routing.shard_of(a)]
-                        .filter()
-                        .may_contain(a)
-                } else {
-                    // A width-above-one range can hold keys of any shard.
-                    self.shards
-                        .iter()
-                        .any(|s| s.filter().may_contain_range(a, b))
-                }
-            }
-        }
+        self.targets(a, b)
+            .any(|(s, (lo, hi))| self.shards[s].filter().may_contain_range(lo, hi))
     }
 
     /// Whether the point `x` may be in the key set.
@@ -477,29 +479,28 @@ impl Snapshot {
         self.may_contain_range(x, x)
     }
 
-    /// Calls `f(shard, clamped_query)` for every shard the routing maps
-    /// `[a, b]` to — the one routing walk both batch passes share.
-    #[inline]
-    fn for_each_target(&self, a: u64, b: u64, mut f: impl FnMut(usize, (u64, u64))) {
-        match &self.routing {
-            Routing::Range { .. } => {
-                let (sa, sb) = (self.routing.shard_of(a), self.routing.shard_of(b));
-                for s in sa..=sb {
-                    let (lo, hi) = self.routing.shard_span(s);
-                    f(s, (a.max(lo), b.min(hi)));
-                }
+    /// Ground truth from the retained keys: whether a key lies in `[a, b]`.
+    /// Reads only the shards [`Snapshot::targets`] routes the range to,
+    /// which is exact under both routings because a key lives in the shard
+    /// its routing assigns. `None` when no routed shard holds such a key
+    /// but one of them is degraded (see [`Shard::load_error`]), since its
+    /// keys are unknown. Materializes the routed shards up to the first
+    /// that holds a key.
+    pub fn has_key_in(&self, a: u64, b: u64) -> Option<bool> {
+        let mut degraded = false;
+        for (s, (lo, hi)) in self.targets(a, b) {
+            let shard = &self.shards[s];
+            if shard.load_error().is_some() {
+                degraded = true;
+                continue;
             }
-            Routing::Hash { .. } => {
-                if a == b {
-                    f(self.routing.shard_of(a), (a, b));
-                } else {
-                    // A width-above-one range can hold keys of any shard.
-                    for s in 0..self.shards.len() {
-                        f(s, (a, b));
-                    }
-                }
+            let keys = shard.keys();
+            let at = keys.partition_point(|&k| k < lo);
+            if keys.get(at).is_some_and(|&k| k <= hi) {
+                return Some(true);
             }
         }
+        (!degraded).then_some(false)
     }
 
     /// Answers a batch of closed ranges, one `bool` per query, into `out`
@@ -529,7 +530,9 @@ impl Snapshot {
         let mut offsets = vec![0usize; n_shards + 1];
         for &(a, b) in queries {
             debug_assert!(a <= b, "inverted range [{a}, {b}]");
-            self.for_each_target(a, b, |s, _| offsets[s + 1] += 1);
+            for (s, _) in self.targets(a, b) {
+                offsets[s + 1] += 1;
+            }
         }
         for s in 0..n_shards {
             offsets[s + 1] += offsets[s];
@@ -540,11 +543,11 @@ impl Snapshot {
         let mut slot_idx = vec![0u32; total];
         let mut cursor = offsets[..n_shards].to_vec();
         for (i, &(a, b)) in queries.iter().enumerate() {
-            self.for_each_target(a, b, |s, q| {
+            for (s, q) in self.targets(a, b) {
                 slot_q[cursor[s]] = q;
                 slot_idx[cursor[s]] = i as u32;
                 cursor[s] += 1;
-            });
+            }
         }
         let mut answers = Vec::new();
         for s in 0..n_shards {
@@ -1173,6 +1176,39 @@ mod tests {
                 .map(|&(a, b)| snap.may_contain_range(a, b))
                 .collect();
             assert_eq!(batched, singles, "{partitioning:?} batch diverged");
+        }
+    }
+
+    #[test]
+    fn routed_key_check_is_exact_under_both_partitionings() {
+        let keys = test_keys(3000);
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        let registry = Registry::new();
+        for partitioning in [
+            Partitioning::Range { shards: 4 },
+            Partitioning::Hash { shards: 4 },
+        ] {
+            let store = FilterStore::build(&registry, grafite_config(partitioning), &keys).unwrap();
+            let snap = store.snapshot();
+            // Ranges at keys, just past them, and wide enough to span
+            // range shards.
+            let queries = keys.iter().step_by(7).flat_map(|&k| {
+                [
+                    (k, k),
+                    (k.saturating_add(1), k.saturating_add(3)),
+                    (k / 2, k),
+                ]
+            });
+            for (a, b) in queries {
+                let at = sorted.partition_point(|&k| k < a);
+                let truth = sorted.get(at).is_some_and(|&k| k <= b);
+                assert_eq!(
+                    snap.has_key_in(a, b),
+                    Some(truth),
+                    "{partitioning:?} [{a}, {b}]"
+                );
+            }
         }
     }
 

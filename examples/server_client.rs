@@ -88,8 +88,8 @@ fn main() {
         served.stats().lazy_shard_loads()
     );
 
-    // Concurrent connections: probes that arrive together coalesce into
-    // one store batch (the STATS export below reports the factor).
+    // Concurrent connections: each frame is answered lock-free on the
+    // snapshot current when it arrives (STATS below counts every probe).
     thread::scope(|scope| {
         for t in 0..4u64 {
             let probes = &probes;

@@ -27,9 +27,9 @@
 //!   query — a multi-gigabyte store opens in milliseconds).
 //! * [`grafite_server`] — the network front end: a dependency-free TCP
 //!   server ([`serve`]) speaking a length-prefixed binary protocol over a
-//!   shared [`FilterStore`], coalescing concurrent probes into the sorted
-//!   batch path, hot-reloading manifests without dropping in-flight
-//!   queries, and exporting operational telemetry (qps, latency
+//!   shared [`FilterStore`], answering and auditing each frame on one
+//!   lock-free [`Snapshot`], hot-reloading manifests without dropping
+//!   in-flight queries, and exporting operational telemetry (qps, latency
 //!   histograms, observed-FP estimation) as JSON — plus the matching
 //!   [`Client`] and the `grafite-server` binary (`gen`/`serve`/`smoke`).
 //!
