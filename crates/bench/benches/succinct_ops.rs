@@ -224,18 +224,6 @@ fn bench_predecessor(c: &mut Criterion) {
             std::hint::black_box(hits)
         })
     });
-    group.bench_function("cursor_bitwise_baseline", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            let mut cur = ef.cursor();
-            for &y in &sorted_probes {
-                if cur.predecessor_bitwise(y).is_some() {
-                    hits += 1;
-                }
-            }
-            std::hint::black_box(hits)
-        })
-    });
     group.bench_function("per_probe_restart", |b| {
         b.iter(|| {
             let mut hits = 0usize;

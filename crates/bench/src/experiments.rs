@@ -1273,27 +1273,6 @@ pub fn hotpath(cfg: &RunConfig) {
         })
     };
 
-    // Cursor batch: the monotone EfCursor walk (whole-word consume +
-    // dispatched zero-run skip) against the retained per-bit walk.
-    let mut sorted_probes = probes.clone();
-    sorted_probes.sort_unstable();
-    let cursor_scalar_ns = best_ns_per_op(reps, MICRO_PROBES, || {
-        let mut acc = 0u64;
-        let mut cur = ef.cursor();
-        for &y in &sorted_probes {
-            acc ^= cur.predecessor_bitwise(y).unwrap_or(0);
-        }
-        acc
-    });
-    let cursor_simd_ns = best_ns_per_op(reps, MICRO_PROBES, || {
-        let mut acc = 0u64;
-        let mut cur = ef.cursor();
-        for &y in &sorted_probes {
-            acc ^= cur.predecessor(y).unwrap_or(0);
-        }
-        acc
-    });
-
     let kernels = [
         ("rank1", time_rank(SimdLevel::Scalar), time_rank(active)),
         (
@@ -1302,7 +1281,6 @@ pub fn hotpath(cfg: &RunConfig) {
             time_select(active),
         ),
         ("low_partition", time_lp(SimdLevel::Scalar), time_lp(active)),
-        ("cursor_batch", cursor_scalar_ns, cursor_simd_ns),
     ];
 
     // --- bake-off: predecessor structures over the same values/probes ---
@@ -1311,7 +1289,7 @@ pub fn hotpath(cfg: &RunConfig) {
     let sampled = SampledIndex::new(&values);
     let structures: [&dyn PredecessorSearch; 3] = [&ef, &bucketed, &sampled];
     // Spot-check agreement before timing anything.
-    for &y in sorted_probes.iter().take(256) {
+    for &y in probes.iter().take(256) {
         let idx = values.partition_point(|&v| v <= y);
         let want = if idx > 0 { Some(values[idx - 1]) } else { None };
         for s in structures {

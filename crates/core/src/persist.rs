@@ -33,13 +33,12 @@
 //! Version history:
 //!
 //! * **v1** — the original layout; `RsBitVec` select directories stored as
-//!   block-index *hints*.
+//!   block-index *hints*. No longer read: v1 blobs fail with
+//!   [`FilterError::UnsupportedFormatVersion`].
 //! * **v2** (current) — `RsBitVec` select directories store the exact
 //!   position of every 512th one/zero (the position-sampled scheme of the
-//!   succinct hot-path overhaul). v1 blobs still load on the **owned**
-//!   path: decoders rebuild the position samples from the bits in one
-//!   linear pass. Zero-copy views require v2 (a borrowed view cannot hold
-//!   rebuilt directories).
+//!   succinct hot-path overhaul), so every decoder loads the stored
+//!   directories verbatim, owned or as a zero-copy view.
 //!
 //! # Threat model
 //!
@@ -67,10 +66,11 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"GRAFILT\0");
 /// The on-disk format version this build writes (and reads).
 pub const FORMAT_VERSION: u32 = 2;
 
-/// The oldest format version readers still accept. v1 blobs load through
-/// the legacy owned path, which rebuilds the `RsBitVec` select directories
-/// (see the module docs' version history).
-pub const MIN_FORMAT_VERSION: u32 = 1;
+/// The oldest format version readers still accept. Equal to
+/// [`FORMAT_VERSION`] while one format is read; a future bump may lower it
+/// to keep the previous version loadable (see the module docs' version
+/// history).
+pub const MIN_FORMAT_VERSION: u32 = 2;
 
 /// Header size in bytes (five words).
 pub const HEADER_BYTES: usize = HEADER_WORDS * 8;
@@ -175,14 +175,6 @@ impl Header {
     #[inline]
     pub fn spec_version_word(&self) -> u64 {
         ((self.version as u64) << 32) | self.spec_id as u64
-    }
-
-    /// Whether this blob was written by the legacy v1 format, whose
-    /// `RsBitVec` select directories must be rebuilt on load (owned path
-    /// only — decoders dispatch on this).
-    #[inline]
-    pub fn legacy_directories(&self) -> bool {
-        self.version < 2
     }
 
     /// Serializes the header into `out`.
@@ -386,39 +378,30 @@ mod tests {
         assert_eq!(payload_words, &[1, 2, 3]);
     }
 
-    /// A v1 header (the legacy directory layout) still parses — readers
-    /// dispatch on it — while versions outside the supported range fail
-    /// typed.
+    /// A v1 header fails typed on its version even when its checksum is
+    /// valid, as do the other versions outside the supported range.
     #[test]
-    fn legacy_v1_header_accepted() {
+    fn v1_header_rejected() {
         let payload: Vec<u8> = [7u64, 8].iter().flat_map(|w| w.to_le_bytes()).collect();
-        let mut header = Header {
-            version: MIN_FORMAT_VERSION,
-            spec_id: spec_id::BUCKETING,
-            n_keys: 3,
-            payload_words: 2,
-            checksum: 0,
-        };
-        header.checksum = blob_checksum(
-            header.spec_version_word(),
-            header.n_keys,
-            header.payload_words,
-            words_of_bytes(&payload),
-        );
-        let mut blob = Vec::new();
-        header.write(&mut blob).unwrap();
-        blob.extend_from_slice(&payload);
-        let (parsed, _) = Header::parse(&blob).unwrap();
-        assert_eq!(parsed.version, 1);
-        assert!(parsed.legacy_directories());
-        let (fresh, _) = Header::parse(&sample_blob()).unwrap();
-        assert!(!fresh.legacy_directories());
-        // Version 0 and FORMAT_VERSION + 1 are both out of range.
-        for bad_version in [0u32, FORMAT_VERSION + 1] {
-            let mut bad = blob.clone();
-            bad[12..16].copy_from_slice(&bad_version.to_le_bytes());
+        for bad_version in [0u32, 1, FORMAT_VERSION + 1] {
+            let mut header = Header {
+                version: bad_version,
+                spec_id: spec_id::BUCKETING,
+                n_keys: 3,
+                payload_words: 2,
+                checksum: 0,
+            };
+            header.checksum = blob_checksum(
+                header.spec_version_word(),
+                header.n_keys,
+                header.payload_words,
+                words_of_bytes(&payload),
+            );
+            let mut blob = Vec::new();
+            header.write(&mut blob).unwrap();
+            blob.extend_from_slice(&payload);
             assert_eq!(
-                Header::parse(&bad),
+                Header::parse(&blob),
                 Err(FilterError::UnsupportedFormatVersion {
                     found: bad_version,
                     supported: FORMAT_VERSION

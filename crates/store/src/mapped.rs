@@ -1,6 +1,6 @@
 //! The lazy, file-backed open path of the store: a [`MappedManifest`]
 //! indexes a saved manifest *in place* — one `O(shards)` pass of small
-//! header reads and seeks, never touching key or blob bytes — so a
+//! positioned header reads, never touching key or blob bytes — so a
 //! multi-gigabyte store cold-starts in milliseconds. Shards materialize on
 //! first touch: their keys and filter blob are read from the recorded
 //! extents, validated, and (for Grafite) parsed zero-copy over one shared
@@ -10,8 +10,8 @@
 //! ordinary positioned reads rather than a raw `mmap(2)`: the operating
 //! system's page cache still backs the file, so concurrently serving
 //! processes share pages the usual way, and nothing is read twice. On
-//! unix the materialization path issues `pread(2)`-style offset reads
-//! against a shared `&File` — no seek cursor, no lock — so shards
+//! unix the scan and materialization both issue `pread(2)`-style offset
+//! reads against a shared `&File` — no seek cursor, no lock — so shards
 //! faulting in concurrently never contend on the handle.
 //!
 //! # Validation model
@@ -40,7 +40,6 @@
 //!   [`load_error`](crate::Shard::load_error).
 
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 #[cfg(not(unix))]
@@ -82,14 +81,6 @@ fn lock_poisoned<T>(_: T) -> FilterError {
     }
 }
 
-/// Reads `len` bytes at absolute offset `pos`.
-fn read_bytes_at(file: &mut File, pos: u64, len: usize) -> Result<Vec<u8>, FilterError> {
-    file.seek(SeekFrom::Start(pos))?;
-    let mut buf = vec![0u8; len];
-    file.read_exact(&mut buf)?;
-    Ok(buf)
-}
-
 /// A read-only file handle answering positioned reads without a shared
 /// cursor. On unix this is `pread(2)` via [`std::os::unix::fs::FileExt`]:
 /// each call carries its own offset, takes `&File`, and never touches the
@@ -128,8 +119,12 @@ impl PositionedFile {
         }
         #[cfg(not(unix))]
         {
+            use std::io::{Read, Seek, SeekFrom};
             let mut file = self.file.lock().map_err(lock_poisoned)?;
-            read_bytes_at(&mut file, pos, len)
+            file.seek(SeekFrom::Start(pos))?;
+            let mut buf = vec![0u8; len];
+            file.read_exact(&mut buf)?;
+            Ok(buf)
         }
     }
 
@@ -144,23 +139,11 @@ impl PositionedFile {
             .map(le_word)
             .collect())
     }
-}
 
-/// Reads `n` little-endian words at absolute offset `pos`.
-fn read_words_at(file: &mut File, pos: u64, n: usize) -> Result<Vec<u64>, FilterError> {
-    let len = n
-        .checked_mul(8)
-        .ok_or(FilterError::corrupt("word read length overflows usize"))?;
-    Ok(read_bytes_at(file, pos, len)?
-        .chunks_exact(8)
-        .map(le_word)
-        .collect())
-}
-
-/// Reads one word at absolute offset `pos`.
-fn read_word_at(file: &mut File, pos: u64) -> Result<u64, FilterError> {
-    let bytes = read_bytes_at(file, pos, 8)?;
-    Ok(le_word(&bytes))
+    /// Reads one word at absolute offset `pos`.
+    fn word_at(&self, pos: u64) -> Result<u64, FilterError> {
+        Ok(le_word(&self.bytes_at(pos, 8)?))
+    }
 }
 
 /// A scanned-but-unread store manifest: header, routing, tuning sample,
@@ -188,13 +171,14 @@ impl std::fmt::Debug for MappedManifest {
 impl MappedManifest {
     /// Indexes the manifest at `path`: validates the ten-word header, reads
     /// the routing table and tuning sample, and records each shard's key
-    /// and blob extents by seeking — `O(shards)` small reads, independent
+    /// and blob extents — `O(shards)` small positioned reads, independent
     /// of the store's total size. The full-body checksum is **not**
     /// verified here (see the module docs' validation model).
     pub fn scan(registry: &Registry, path: &Path) -> Result<Self, FilterError> {
-        let mut file = File::open(path)?;
+        let file = File::open(path)?;
         let file_len = file.metadata()?.len();
-        let head_vec = read_words_at(&mut file, 0, MANIFEST_HEADER_WORDS)?;
+        let file = PositionedFile::new(file);
+        let head_vec = file.words_at(0, MANIFEST_HEADER_WORDS)?;
         let mut raw = [0u64; MANIFEST_HEADER_WORDS];
         for (dst, src) in raw.iter_mut().zip(head_vec.iter()) {
             *dst = *src;
@@ -232,14 +216,14 @@ impl MappedManifest {
         // walk completes.
         let mut framing: Vec<u64> = raw.iter().skip(1).take(8).copied().collect();
         let at = claim(&mut pos, 8)?;
-        let meta_expected = read_word_at(&mut file, at)?;
+        let meta_expected = file.word_at(at)?;
 
         let starts = if head.routing_kind == ROUTING_RANGE {
             let bytes = (head.n_shards as u64)
                 .checked_mul(8)
                 .ok_or(FilterError::corrupt("routing table length overflows"))?;
             let at = claim(&mut pos, bytes)?;
-            read_words_at(&mut file, at, head.n_shards)?
+            file.words_at(at, head.n_shards)?
         } else {
             Vec::new()
         };
@@ -247,7 +231,7 @@ impl MappedManifest {
         let (routing, partitioning) = head.routing(starts)?;
 
         let at = claim(&mut pos, 8)?;
-        let sample_len = usize::try_from(read_word_at(&mut file, at)?)
+        let sample_len = usize::try_from(file.word_at(at)?)
             .map_err(|_| FilterError::corrupt("sample length overflows usize"))?;
         framing.push(sample_len as u64);
         let sample_words = sample_len
@@ -257,7 +241,7 @@ impl MappedManifest {
             .checked_mul(8)
             .ok_or(FilterError::corrupt("sample length overflows"))?;
         let at = claim(&mut pos, sample_bytes)?;
-        let sample_raw = read_words_at(&mut file, at, sample_words)?;
+        let sample_raw = file.words_at(at, sample_words)?;
         framing.extend_from_slice(&sample_raw);
         let sample: Vec<(u64, u64)> = sample_raw
             .chunks_exact(2)
@@ -271,16 +255,16 @@ impl MappedManifest {
         let mut keys_total: u64 = 0;
         for _ in 0..head.n_shards {
             let at = claim(&mut pos, 8)?;
-            let n_keys = usize::try_from(read_word_at(&mut file, at)?)
+            let n_keys = usize::try_from(file.word_at(at)?)
                 .map_err(|_| FilterError::corrupt("shard key count overflows usize"))?;
             let key_bytes = (n_keys as u64)
                 .checked_mul(8)
                 .ok_or(FilterError::corrupt("shard key run overflows"))?;
             let keys_start = claim(&mut pos, key_bytes)?;
             let at = claim(&mut pos, 8)?;
-            let keys_checksum = read_word_at(&mut file, at)?;
+            let keys_checksum = file.word_at(at)?;
             let at = claim(&mut pos, 8)?;
-            let blob_len = usize::try_from(read_word_at(&mut file, at)?)
+            let blob_len = usize::try_from(file.word_at(at)?)
                 .map_err(|_| FilterError::corrupt("shard blob length overflows usize"))?;
             let padded_bytes = (blob_len.div_ceil(8) as u64)
                 .checked_mul(8)
@@ -312,7 +296,7 @@ impl MappedManifest {
         }
         Ok(Self {
             path: path.to_path_buf(),
-            file: PositionedFile::new(file),
+            file,
             registry: registry.clone(),
             config: head.config(partitioning, sample),
             routing,
@@ -393,14 +377,13 @@ impl MappedManifest {
         Ok((keys, filter))
     }
 
-    /// Parses one shard blob, picking the zero-copy Grafite view path when
-    /// the blob supports it.
+    /// Parses one shard blob, taking the zero-copy mapped path for Grafite.
     fn load_filter(&self, blob: &[u8]) -> Result<DynRangeFilter, FilterError> {
         let header = Header::peek(blob)?;
         if header.spec_id != self.config.family.spec_id() {
             return Err(FilterError::SpecMismatch(header.spec_id));
         }
-        if header.spec_id == spec_id::GRAFITE && !header.legacy_directories() {
+        if header.spec_id == spec_id::GRAFITE {
             // One byte→word conversion pass, then every container in the
             // filter is a sub-range of the same shared buffer.
             let source = MappedSource::from_le_bytes(blob).map_err(FilterError::from)?;

@@ -205,19 +205,6 @@ impl EliasFano {
             last: values[n - 1],
         }
     }
-
-    /// Reads the **format-v1** stream (whose embedded [`RsBitVec`] stores
-    /// the legacy block-index select hints): the bits and rank directory
-    /// load verbatim, the select position samples are rebuilt. Owned
-    /// storage only.
-    pub fn read_from_v1<Src: WordSource<Storage = Vec<u64>>>(
-        src: &mut Src,
-    ) -> Result<Self, DecodeError> {
-        let head = Self::read_head(src)?;
-        let low = IntVec::read_from(src)?;
-        let high = RsBitVec::read_from_v1(src)?;
-        Self::validate_parts(head, low, high)
-    }
 }
 
 /// The five scalar header words of an Elias–Fano stream.
@@ -613,7 +600,7 @@ impl<S: AsRef<[u64]>> EliasFano<S> {
     /// Reads back what [`EliasFano::write_to`] wrote; storage kind follows
     /// the source, so a [`crate::io::WordCursor`] yields a zero-copy
     /// [`EliasFanoView`] ready to answer `predecessor` queries without any
-    /// rebuilding. For format-v1 streams use [`EliasFano::read_from_v1`].
+    /// rebuilding.
     pub fn read_from<Src: WordSource<Storage = S>>(src: &mut Src) -> Result<Self, DecodeError> {
         let head = Self::read_head(src)?;
         let low = IntVec::read_from(src)?;
@@ -626,8 +613,12 @@ impl<S: AsRef<[u64]>> EliasFano<S> {
 /// `predecessor` probes with monotone state: the cursor remembers its
 /// position in `H` and the last element it decoded, so a batch of sorted
 /// probes walks the high bits once instead of restarting a probe per query.
-/// Gaps larger than a couple of kilobits are skipped with one fused probe
-/// (galloping), so sparse batches never degrade to a full scan.
+/// The walk steps one set bit of `H` at a time; a target more than
+/// `GALLOP_BITS` (64) bits past the frontier is reached with one fused probe
+/// instead (galloping), so sparse batches never degrade to a full scan. A
+/// walk that consumed whole words and skipped zero runs with AVX2 was
+/// slower than this per-bit walk in most paired measurements, so the
+/// per-bit walk is the only one.
 ///
 /// Answers are bit-identical to [`EliasFano::predecessor`]; feeding probes
 /// out of order is a contract violation (debug-asserted).
@@ -677,28 +668,10 @@ impl<S: AsRef<[u64]>> EfCursor<'_, S> {
         }
         let words = ef.high.bits().words();
         while self.idx < ef.n {
-            if self.word == 0 {
-                // Zero-run skip through H (vectorized where available):
-                // idx < n guarantees a set bit remains ahead.
-                let nz = crate::simd::next_nonzero_word(words, self.word_idx + 1)
-                    .expect("H holds a set bit for every remaining element");
-                self.word_idx = nz;
-                self.word = words[nz];
-            }
-            // Whole-word consume: element indices rise one per set bit, so
-            // `hi = pos - idx` is non-decreasing along the walk. If even the
-            // *last* one of the frontier word lands in a bucket below p,
-            // every one in the word is a predecessor of y and the word can
-            // be accepted wholesale — bit-identical to stepping, without
-            // the per-bit loop.
-            let ones = self.word.count_ones() as usize;
-            let last_pos =
-                self.word_idx * WORD_BITS + (WORD_BITS - 1 - self.word.leading_zeros() as usize);
-            if ((last_pos - (self.idx + ones - 1)) as u64) < p {
-                self.prev = Some((self.idx + ones - 1, last_pos));
-                self.idx += ones;
-                self.word = 0;
-                continue;
+            // idx < n guarantees a set bit remains ahead.
+            while self.word == 0 {
+                self.word_idx += 1;
+                self.word = words[self.word_idx];
             }
             let pos = self.word_idx * WORD_BITS + self.word.trailing_zeros() as usize;
             let hi = (pos - self.idx) as u64;
@@ -707,55 +680,6 @@ impl<S: AsRef<[u64]>> EfCursor<'_, S> {
             }
             // Elements below bucket p are `<= y` by construction; only
             // bucket p's own elements need their low bits compared.
-            if hi == p && ef.low.get(self.idx) > y_lo {
-                break;
-            }
-            self.prev = Some((self.idx, pos));
-            self.word &= self.word - 1;
-            self.idx += 1;
-        }
-        self.prev
-            .map(|(i, pos)| (((pos - i) as u64) << ef.low_bits) | ef.low.get(i))
-    }
-
-    /// The PR 5 per-bit frontier walk, kept verbatim as the measured
-    /// baseline for the word-consuming walk above (mirroring
-    /// [`EliasFano::predecessor_two_probe`]). Benches and equivalence tests
-    /// call it; it is not part of the public API surface.
-    #[doc(hidden)]
-    pub fn predecessor_bitwise(&mut self, y: u64) -> Option<u64> {
-        #[cfg(debug_assertions)]
-        {
-            debug_assert!(y >= self.last_y, "cursor probes must be non-decreasing");
-            self.last_y = y;
-        }
-        let ef = self.ef;
-        if ef.n == 0 || y < ef.first {
-            return None;
-        }
-        if y >= ef.last {
-            return Some(ef.last);
-        }
-        let p = y >> ef.low_bits;
-        let y_lo = y & ef.low_mask();
-        if (p as usize + self.idx).saturating_sub(self.word_idx * WORD_BITS) > GALLOP_BITS {
-            let (idx, v) = ef.pred_entry(y).expect("y >= first implies a predecessor");
-            let pos = ((v >> ef.low_bits) as usize) + idx;
-            self.prev = Some((idx, pos));
-            self.reposition_after(pos, idx);
-            return Some(v);
-        }
-        let words = ef.high.bits().words();
-        while self.idx < ef.n {
-            while self.word == 0 {
-                self.word_idx += 1;
-                self.word = words[self.word_idx];
-            }
-            let pos = self.word_idx * WORD_BITS + self.word.trailing_zeros() as usize;
-            let hi = (pos - self.idx) as u64;
-            if hi > p {
-                break;
-            }
             if hi == p && ef.low.get(self.idx) > y_lo {
                 break;
             }
@@ -826,19 +750,12 @@ mod tests {
             let expect_rank = values.iter().filter(|&&v| v < y).count();
             assert_eq!(ef.rank(y), expect_rank, "rank({y})");
         }
-        // The cursor answers the same probes identically when sorted, on
-        // both the word-consuming walk and the per-bit baseline.
+        // The cursor answers the same probes identically when sorted.
         sorted_probes.sort_unstable();
         let mut cur = ef.cursor();
-        let mut cur_bitwise = ef.cursor();
         for &y in &sorted_probes {
             let expect = reference_predecessor(&set, y);
             assert_eq!(cur.predecessor(y), expect, "cursor pred({y})");
-            assert_eq!(
-                cur_bitwise.predecessor_bitwise(y),
-                expect,
-                "cursor bitwise pred({y})"
-            );
         }
     }
 

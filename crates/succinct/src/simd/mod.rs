@@ -1,12 +1,11 @@
 //! Runtime-dispatched vector kernels for the succinct hot paths.
 //!
-//! Four kernels sit on the query-time critical path — the masked 8-word
-//! block rank, in-word select, the Elias-Fano low-bits partition probe,
-//! and zero-word skipping for cursor walks. Each has a portable scalar
-//! reference implementation ([`scalar`]) and, on x86_64, vector
-//! variants ([`kernels`]) selected once per process by CPU feature
-//! detection. The dispatchers here are the only entry points the rest
-//! of the crate uses.
+//! Three kernels sit on the query-time critical path — the masked 8-word
+//! block rank, in-word select and the Elias-Fano low-bits partition
+//! probe. Each has a portable scalar reference implementation
+//! ([`scalar`]) and, on x86_64, vector variants ([`kernels`]) selected
+//! once per process by CPU feature detection. The dispatchers here are
+//! the only entry points the rest of the crate uses.
 //!
 //! Dispatch levels form a total order `Scalar < Sse2 < Avx2` on x86_64
 //! (`Neon` is an aarch64 placeholder that currently delegates to
@@ -223,23 +222,6 @@ pub fn low_partition_at(
     }
     let _ = level;
     scalar::low_partition(words, width, start, end, y_lo, include_equal)
-}
-
-/// Index of the first non-zero word at or after `from`, or `None`.
-#[inline]
-pub fn next_nonzero_word(words: &[u64], from: usize) -> Option<usize> {
-    next_nonzero_word_at(level(), words, from)
-}
-
-/// [`next_nonzero_word`] pinned to an explicit dispatch level.
-#[inline]
-pub fn next_nonzero_word_at(level: SimdLevel, words: &[u64], from: usize) -> Option<usize> {
-    #[cfg(target_arch = "x86_64")]
-    if level == SimdLevel::Avx2 {
-        return kernels::next_nonzero_word_avx2(words, from);
-    }
-    let _ = level;
-    scalar::next_nonzero_word(words, from)
 }
 
 #[cfg(test)]

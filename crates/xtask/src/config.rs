@@ -26,8 +26,6 @@ pub const UNTRUSTED_FILES: &[&str] = &[
 /// names.
 pub const UNTRUSTED_FNS: &[&str] = &[
     "read_from",
-    "read_from_v1",
-    "read_from_impl",
     "read_head",
     "validate_parts",
     "read_payload",

@@ -7,8 +7,7 @@
 //! `tests/golden/`. This lint re-derives each side *statically* — the
 //! constants lexically from source, the blob headers from their first 16
 //! bytes — and cross-checks them, so that bumping `FORMAT_VERSION` without
-//! regenerating `tests/golden/v{N}/`, or retiring v1 support while frozen
-//! v1 blobs are still committed, fails before any test runs.
+//! regenerating `tests/golden/v{N}/` fails before any test runs.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -123,15 +122,12 @@ fn read_blob_head(path: &Path) -> Result<(u32, u32), String> {
     Ok((word1 as u32, (word1 >> 32) as u32))
 }
 
-/// Cross-checks one golden directory against the spec table.
-///
-/// `expected_versions` is the inclusive range a blob's header version may
-/// carry: exactly `FORMAT_VERSION` for the current set, the accepted
-/// `MIN..=FORMAT` window for the frozen v1 set.
+/// Cross-checks the golden set in `rel_dir` against the spec table: every
+/// blob must carry exactly `format_version` in its header.
 fn check_golden_dir(
     root: &Path,
     rel_dir: &str,
-    expected_versions: std::ops::RangeInclusive<u32>,
+    format_version: u32,
     spec_table: &BTreeMap<String, u32>,
     sink: &mut Sink,
 ) {
@@ -182,16 +178,14 @@ fn check_golden_dir(
                         ),
                     );
                 }
-                if !expected_versions.contains(&version) {
+                if version != format_version {
                     sink.emit_unconditional(
                         blob_rel,
                         "L3",
                         1,
                         format!(
-                            "header format version {version} is outside the accepted range \
-                             {}..={} — regenerate the goldens or widen MIN/FORMAT_VERSION",
-                            expected_versions.start(),
-                            expected_versions.end()
+                            "header format version {version} differs from FORMAT_VERSION \
+                             {format_version} — regenerate the goldens"
                         ),
                     );
                 }
@@ -275,17 +269,7 @@ pub fn check(root: &Path, sink: &mut Sink) {
     check_golden_dir(
         root,
         &format!("tests/golden/v{format_version}"),
-        format_version..=format_version,
-        &spec_table,
-        sink,
-    );
-    // Frozen v1 set at the golden root: still within the accepted window.
-    // Retiring v1 support (bumping MIN_FORMAT_VERSION) while these blobs
-    // remain committed fails here — delete or migrate them deliberately.
-    check_golden_dir(
-        root,
-        "tests/golden",
-        min_version..=format_version,
+        format_version,
         &spec_table,
         sink,
     );

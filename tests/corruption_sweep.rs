@@ -19,37 +19,37 @@ use grafite::{
 };
 use proptest::prelude::*;
 
-fn golden_dirs() -> [PathBuf; 2] {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    [root.clone(), root.join("v2")]
+fn golden_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/v2")
 }
 
-/// Every committed golden blob: `(label, bytes)`.
+/// Every committed golden blob: `(label, bytes)`. The blobs on disk must be
+/// exactly the ones the set's `manifest.txt` lists, so a blob that goes
+/// missing cannot silently shrink the sweep.
 fn golden_blobs() -> Vec<(String, Vec<u8>)> {
-    let mut out = Vec::new();
-    for dir in golden_dirs() {
-        let mut entries: Vec<_> = std::fs::read_dir(&dir)
-            .expect("golden dir")
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "bin"))
-            .collect();
-        entries.sort();
-        for path in entries {
-            let label = format!(
-                "{}/{}",
-                dir.file_name().unwrap().to_string_lossy(),
-                path.file_name().unwrap().to_string_lossy()
-            );
-            out.push((label, std::fs::read(&path).expect("golden blob")));
-        }
-    }
-    assert!(
-        out.len() >= 24,
-        "expected both golden sets, got {}",
-        out.len()
-    );
-    out
+    let dir = golden_dir();
+    let mut on_disk: Vec<String> = std::fs::read_dir(&dir)
+        .expect("golden dir")
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".bin"))
+        .collect();
+    on_disk.sort();
+    let mut listed: Vec<String> = std::fs::read_to_string(dir.join("manifest.txt"))
+        .expect("golden manifest")
+        .lines()
+        .filter_map(|line| line.split_whitespace().next())
+        .map(|name| format!("{name}.bin"))
+        .collect();
+    listed.sort();
+    assert_eq!(on_disk, listed, "golden blobs differ from manifest.txt");
+    on_disk
+        .into_iter()
+        .map(|name| {
+            let bytes = std::fs::read(dir.join(&name)).expect("golden blob");
+            (format!("v2/{name}"), bytes)
+        })
+        .collect()
 }
 
 /// Loading corrupt bytes must produce `Err`, never `Ok`. A panic fails the

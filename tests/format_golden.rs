@@ -1,16 +1,15 @@
 //! Format-stability goldens: one small serialized filter per family is
-//! committed under `tests/golden/` (the frozen **v1** set, written before
-//! the position-sampled select directories) and `tests/golden/v2/` (the
-//! current format). This suite asserts current code still loads each one —
-//! v1 through the legacy rebuild-on-load path, v2 verbatim — and answers
-//! the fixed probe workload exactly as recorded in the per-set
+//! committed under `tests/golden/v2/`, the one golden set, written in the
+//! current format. This suite asserts current code still loads each one
+//! and answers the fixed probe workload exactly as recorded in the set's
 //! `manifest.txt`, catching silent format breaks (a payload re-ordering, a
 //! changed directory layout, a checksum rule drift) that round-trip tests
-//! alone cannot see.
+//! alone cannot see. Blobs re-stamped as the retired format v1 must fail
+//! typed on every load path.
 //!
-//! The v1 set is **frozen**: never regenerate it. After an *intentional*
-//! format change (bump `grafite_core::persist::FORMAT_VERSION` first!)
-//! regenerate the current set with:
+//! After an *intentional* format change (bump
+//! `grafite_core::persist::FORMAT_VERSION` first!) regenerate the set
+//! with:
 //!
 //! ```text
 //! cargo test --test format_golden -- --ignored regenerate_golden_files
@@ -23,14 +22,10 @@ use grafite_core::registry::FilterSpec;
 use grafite_core::{FilterConfig, FilterError, PersistentFilter, StringGrafite};
 use grafite_filters::standard_registry;
 
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
+mod common;
 
-/// The current-format golden set lives one level down; the parent directory
-/// holds the frozen v1 blobs.
-fn golden_v2_dir() -> PathBuf {
-    golden_dir().join("v2")
+fn golden_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/v2")
 }
 
 /// 257 deterministic keys — small enough for a few-KB blob per family,
@@ -95,12 +90,11 @@ fn string_golden_words() -> Vec<String> {
 
 /// Writes every **current-format** golden blob and its manifest under
 /// `tests/golden/v2/`. `#[ignore]`d: run explicitly (see module docs) only
-/// when the format intentionally changes. The v1 set in the parent
-/// directory is frozen and never rewritten.
+/// when the format intentionally changes.
 #[test]
 #[ignore = "regenerates the committed golden files; run explicitly on intentional format changes"]
 fn regenerate_golden_files() {
-    let dir = golden_v2_dir();
+    let dir = golden_dir();
     std::fs::create_dir_all(&dir).unwrap();
     let keys = golden_keys();
     let (cfg, sample) = golden_config(&keys);
@@ -154,43 +148,31 @@ fn read_manifest(dir: &std::path::Path) -> BTreeMap<String, (u32, u64)> {
         .collect()
 }
 
-/// Loads and probes every golden blob in `dir`, asserting the recorded
-/// answers. Covers both the frozen v1 set (legacy rebuild-on-load) and the
-/// current v2 set (verbatim directories) — `generation` only labels the
-/// failure messages.
-fn check_golden_set(dir: &std::path::Path, generation: &str) {
+/// Loads and probes every golden blob, asserting the recorded answers.
+#[test]
+fn committed_goldens_still_load_and_answer_identically() {
+    let dir = golden_dir();
     let keys = golden_keys();
     let probes = golden_probes(&keys);
     let registry = standard_registry();
-    let manifest = read_manifest(dir);
+    let manifest = read_manifest(&dir);
     for (name, spec) in families() {
         let (want_spec, want_fp) = manifest[&name];
         let blob = std::fs::read(dir.join(format!("{name}.bin")))
-            .unwrap_or_else(|e| panic!("{generation} golden blob for {name} missing: {e}"));
+            .unwrap_or_else(|e| panic!("golden blob for {name} missing: {e}"));
         let filter = registry
             .load(&blob)
-            .unwrap_or_else(|e| panic!("{generation} golden {name} no longer loads: {e}"));
-        assert_eq!(
-            filter.spec_id(),
-            want_spec,
-            "{generation}/{name}: spec id drifted"
-        );
+            .unwrap_or_else(|e| panic!("golden {name} no longer loads: {e}"));
+        assert_eq!(filter.spec_id(), want_spec, "{name}: spec id drifted");
         assert_eq!(
             filter.spec_id(),
             spec.spec_id(),
-            "{generation}/{name}: registry mapping drifted"
+            "{name}: registry mapping drifted"
         );
-        assert_eq!(
-            filter.num_keys(),
-            keys.len(),
-            "{generation}/{name}: key count drifted"
-        );
+        assert_eq!(filter.num_keys(), keys.len(), "{name}: key count drifted");
         // No false negatives on the golden key set…
         for &k in &keys {
-            assert!(
-                filter.may_contain(k),
-                "{generation}/{name}: golden blob lost key {k}"
-            );
+            assert!(filter.may_contain(k), "{name}: golden blob lost key {k}");
         }
         // …and the exact recorded answers on the full probe workload.
         let mut answers = Vec::new();
@@ -198,7 +180,7 @@ fn check_golden_set(dir: &std::path::Path, generation: &str) {
         assert_eq!(
             fingerprint(answers),
             want_fp,
-            "{generation}/{name}: loaded answers drifted from the committed fingerprint — \
+            "{name}: loaded answers drifted from the committed fingerprint — \
              the on-disk format changed semantically; if intentional, bump \
              FORMAT_VERSION and regenerate"
         );
@@ -207,58 +189,18 @@ fn check_golden_set(dir: &std::path::Path, generation: &str) {
     let (want_spec, want_fp) = manifest[STRING_GRAFITE_FILE];
     let blob = std::fs::read(dir.join(format!("{STRING_GRAFITE_FILE}.bin"))).unwrap();
     let sg = StringGrafite::deserialize(&blob)
-        .unwrap_or_else(|e| panic!("{generation} string_grafite golden no longer loads: {e}"));
+        .unwrap_or_else(|e| panic!("string_grafite golden no longer loads: {e}"));
     assert_eq!(sg.spec_id(), want_spec);
     for w in string_golden_words() {
-        assert!(
-            sg.may_contain(w.as_bytes()),
-            "{generation} string golden lost {w}"
-        );
+        assert!(sg.may_contain(w.as_bytes()), "string golden lost {w}");
     }
     let mut answers = Vec::new();
     grafite_core::RangeFilter::may_contain_ranges(&sg, &probes, &mut answers);
     assert_eq!(
         fingerprint(answers),
         want_fp,
-        "{generation} string_grafite answers drifted"
+        "string_grafite answers drifted"
     );
-}
-
-#[test]
-fn committed_goldens_still_load_and_answer_identically() {
-    check_golden_set(&golden_v2_dir(), "v2");
-}
-
-/// The frozen v1 blobs (legacy select-hint directories) must keep loading
-/// through the rebuild-on-load path and answering identically.
-#[test]
-fn legacy_v1_goldens_still_load_and_answer_identically() {
-    check_golden_set(&golden_dir(), "v1");
-}
-
-/// A v1 blob must answer the probe workload **bit-identically** to a
-/// freshly built (v2) filter of the same configuration: the directory
-/// overhaul changed the layout, never the answers. The two manifests are
-/// therefore identical fingerprint-for-fingerprint, and a loaded v1 filter
-/// re-serializes as a byte-identical v2 blob.
-#[test]
-fn v1_goldens_answer_identically_to_fresh_v2_filters() {
-    let v1 = read_manifest(&golden_dir());
-    let v2 = read_manifest(&golden_v2_dir());
-    assert_eq!(
-        v1, v2,
-        "v1 and v2 manifests must agree: same spec ids, same answer fingerprints"
-    );
-    let registry = standard_registry();
-    for (name, _) in families() {
-        let v1_blob = std::fs::read(golden_dir().join(format!("{name}.bin"))).unwrap();
-        let v2_blob = std::fs::read(golden_v2_dir().join(format!("{name}.bin"))).unwrap();
-        let upgraded = registry.load(&v1_blob).unwrap().to_bytes();
-        assert_eq!(
-            upgraded, v2_blob,
-            "{name}: loading a v1 blob and re-serializing must produce the v2 image"
-        );
-    }
 }
 
 /// Corrupt, truncated, and wrong-version variants of a committed golden
@@ -267,35 +209,26 @@ fn v1_goldens_answer_identically_to_fresh_v2_filters() {
 #[test]
 fn corrupted_goldens_fail_typed() {
     let registry = standard_registry();
-    let blob = std::fs::read(golden_v2_dir().join("grafite.bin")).unwrap();
+    let blob = std::fs::read(golden_dir().join("grafite.bin")).unwrap();
 
     // Bad magic.
     let mut bad = blob.clone();
     bad[0] ^= 0x5A;
     assert!(matches!(registry.load(&bad), Err(FilterError::BadMagic(_))));
 
-    // Unsupported format versions on either side of the accepted range.
-    for version in [0u32, 9] {
+    // Unsupported format versions, the retired v1 included, fail on the
+    // version before the checksum is looked at.
+    for version in [0u32, 1, 9] {
         let mut bad = blob.clone();
         bad[12..16].copy_from_slice(&version.to_le_bytes());
         assert!(
             matches!(
                 registry.load(&bad),
-                Err(FilterError::UnsupportedFormatVersion { .. })
+                Err(FilterError::UnsupportedFormatVersion { found, .. }) if found == version
             ),
             "version {version} unexpectedly accepted"
         );
     }
-
-    // A v2 blob whose version word is rewritten to v1 still fails: the
-    // checksum covers the spec/version word, so version skew cannot
-    // smuggle a v2 payload through the legacy decoder.
-    let mut bad = blob.clone();
-    bad[12..16].copy_from_slice(&1u32.to_le_bytes());
-    assert!(matches!(
-        registry.load(&bad),
-        Err(FilterError::ChecksumMismatch { .. })
-    ));
 
     // Unknown spec id.
     let mut bad = blob.clone();
@@ -305,19 +238,15 @@ fn corrupted_goldens_fail_typed() {
         Err(FilterError::UnknownSpecId(250))
     ));
 
-    // Truncations: **every** prefix length must fail typed, never panic —
-    // on both the v2 blob and its frozen v1 counterpart. (The full
-    // every-blob, every-header-bit sweep lives in `tests/corruption_sweep.rs`;
-    // this keeps the strict TruncatedBuffer-variant assertion close to the
-    // other golden checks.)
-    let v1_blob = std::fs::read(golden_dir().join("grafite.bin")).unwrap();
-    for blob in [&blob, &v1_blob] {
-        for cut in 0..blob.len() {
-            match registry.load(&blob[..cut]) {
-                Err(FilterError::TruncatedBuffer { .. }) => {}
-                Err(other) => panic!("truncation at {cut} gave error {other:?}"),
-                Ok(_) => panic!("truncation at {cut} unexpectedly loaded"),
-            }
+    // Truncations: **every** prefix length must fail typed, never panic.
+    // (The full every-blob, every-header-bit sweep lives in
+    // `tests/corruption_sweep.rs`; this keeps the strict
+    // TruncatedBuffer-variant assertion close to the other golden checks.)
+    for cut in 0..blob.len() {
+        match registry.load(&blob[..cut]) {
+            Err(FilterError::TruncatedBuffer { .. }) => {}
+            Err(other) => panic!("truncation at {cut} gave error {other:?}"),
+            Ok(_) => panic!("truncation at {cut} unexpectedly loaded"),
         }
     }
 
@@ -346,27 +275,38 @@ fn corrupted_goldens_fail_typed() {
     ));
 }
 
-/// Zero-copy views require the current format: a legacy v1 blob cannot
-/// back a borrowed view (its directories must be rebuilt), so the view
-/// constructor rejects it typed while the owned load path accepts it.
+/// Format v1 is retired: a golden re-stamped as v1 with a valid checksum
+/// fails on its version on every load path — registry, owned, borrowed
+/// view, mapped and string — before any payload decoder runs.
 #[test]
-fn v1_blobs_load_owned_but_not_as_views() {
+fn v1_restamped_goldens_are_refused_on_every_load_path() {
     use grafite_core::persist::bytes_to_words;
-    use grafite_core::{GrafiteFilter, GrafiteFilterView, RangeFilter};
-    let v1_blob = std::fs::read(golden_dir().join("grafite.bin")).unwrap();
-    let words = bytes_to_words(&v1_blob).unwrap();
-    assert!(matches!(
-        GrafiteFilterView::view(&words),
-        Err(FilterError::UnsupportedFormatVersion { found: 1, .. })
+    use grafite_core::{GrafiteFilter, GrafiteFilterView, MappedGrafiteFilter};
+    use grafite_succinct::io::MappedSource;
+
+    let is_v1_refusal = |r: Result<(), FilterError>| {
+        matches!(
+            r,
+            Err(FilterError::UnsupportedFormatVersion {
+                found: 1,
+                supported: 2
+            })
+        )
+    };
+    let v1 = common::restamp_as_v1(&std::fs::read(golden_dir().join("grafite.bin")).unwrap());
+    let words = bytes_to_words(&v1).unwrap();
+    let source = MappedSource::from_le_bytes(&v1).unwrap();
+    assert!(is_v1_refusal(standard_registry().load(&v1).map(drop)));
+    assert!(is_v1_refusal(<GrafiteFilter>::deserialize(&v1).map(drop)));
+    assert!(is_v1_refusal(GrafiteFilterView::view(&words).map(drop)));
+    assert!(is_v1_refusal(
+        MappedGrafiteFilter::open_mapped(&source).map(drop)
     ));
-    let owned: GrafiteFilter = GrafiteFilter::deserialize(&v1_blob).expect("owned legacy load");
-    // And the v2 image of the same filter views fine.
-    let v2_words = bytes_to_words(&owned.to_bytes()).unwrap();
-    let view = GrafiteFilterView::view(&v2_words).expect("v2 view");
-    for probe in (0..2000u64).map(|i| i.wrapping_mul(0xDEAD_BEEF_CAFE)) {
-        assert_eq!(
-            view.may_contain_range(probe, probe.saturating_add(64)),
-            owned.may_contain_range(probe, probe.saturating_add(64)),
-        );
-    }
+
+    let string_v1 = common::restamp_as_v1(
+        &std::fs::read(golden_dir().join(format!("{STRING_GRAFITE_FILE}.bin"))).unwrap(),
+    );
+    assert!(is_v1_refusal(
+        StringGrafite::deserialize(&string_v1).map(drop)
+    ));
 }

@@ -13,6 +13,8 @@
 //!   fails typed at `open_mapped` or degrades the damaged shard to a
 //!   fail-open placeholder — present keys still answer `true`, the load
 //!   error is retained, and `save_to`/`apply` refuse the degraded store.
+//! * A shard blob re-stamped as the retired format v1 degrades that shard
+//!   the same way, with the typed version error as its load error.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -21,6 +23,8 @@ use std::sync::Arc;
 use grafite::{
     standard_registry, FamilySpec, FilterError, FilterStore, Partitioning, StoreConfig, Update,
 };
+
+mod common;
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state
@@ -407,4 +411,52 @@ fn corrupted_mapped_manifests_fail_typed_or_fail_open() {
     // `clean_opens` may legitimately be zero if every byte is covered by a
     // checksum; it exists so the compiler sees the counter used.
     let _ = clean_opens;
+}
+
+/// A shard blob re-stamped as the retired format v1 (valid blob checksum,
+/// so only the version is wrong) passes the scan, which does not read blob
+/// bytes, and degrades that one shard fail-open: its load error wraps the
+/// typed version refusal and every one of its keys still answers `true`.
+#[test]
+fn v1_shard_blob_degrades_its_shard_fail_open() {
+    let registry = standard_registry();
+    let keys = dataset(300, 0x5EED);
+    let config = store_config(
+        FamilySpec::Registry(grafite::FilterSpec::Grafite),
+        Vec::new(),
+        Partitioning::Range { shards: 3 },
+    );
+    let store = FilterStore::build(&registry, config, &keys).unwrap();
+    let mut bytes = store.to_bytes();
+    // Shard blobs are word-aligned and start with the blob magic; the
+    // first one in file order is shard 0's.
+    let at = (0..bytes.len())
+        .step_by(8)
+        .find(|&i| bytes[i..].starts_with(&grafite::grafite_core::MAGIC.to_le_bytes()))
+        .expect("a shard blob");
+    let v1 = common::restamp_as_v1(&bytes[at..]);
+    bytes[at..at + v1.len()].copy_from_slice(&v1);
+    let path = temp_manifest("v1-shard", &bytes);
+
+    let mapped = FilterStore::open_mapped(&registry, &path).unwrap();
+    let snap = mapped.snapshot();
+    for &k in &keys {
+        assert!(snap.may_contain(k), "v1 shard lost key {k}");
+    }
+    let shard = &snap.shards()[0];
+    match shard.load_error() {
+        Some(FilterError::ShardLoad { shard: 0, source }) => assert_eq!(
+            **source,
+            FilterError::UnsupportedFormatVersion {
+                found: 1,
+                supported: 2
+            }
+        ),
+        other => panic!("shard 0 load error: {other:?}"),
+    }
+    assert!(
+        snap.shards()[1..].iter().all(|s| s.load_error().is_none()),
+        "healthy shards degraded"
+    );
+    let _ = std::fs::remove_file(&path);
 }
